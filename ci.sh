@@ -102,6 +102,15 @@ for key in '"schema": "rechord-lint/v1"' '"total_unwaived": 0' '"determinism"' '
   fi
 done
 
+# 3j. The repository benchmark's own smoke test: every perfbench workload
+#     at smoke size, untraced and traced, must pass its correctness gates
+#     and print exactly the metrics BENCHMARK.json names, with their units.
+#     perfbench is a cargo workspace of its own, so it compiles its own
+#     copy of the program crates (about 25 s, once). Pointing it at this
+#     workspace's target directory keeps that build cached across runs
+#     and reuses the `node` binary built in 3h; warm, the leg takes ~15 s.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" run python3 perfbench/test_smoke.py
+
 # 4. Rustdoc must build warning-free (broken intra-doc links are bugs).
 RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace --offline
 

@@ -12,9 +12,7 @@
 //! * [`OverlayGraph`] — a snapshot multigraph with per-class neighborhoods,
 //!   used by the oracle, the metrics, and the stability checks;
 //! * [`connectivity`] — weak-connectivity analysis (the paper's precondition
-//!   "the n peers are weakly connected" and the invariant its proofs track);
-//! * [`hasher`] — an identity/Fx-style hasher so hot maps keyed by 64-bit
-//!   identifiers skip SipHash (Rust Performance Book, "Hashing").
+//!   "the n peers are weakly connected" and the invariant its proofs track).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,7 +20,6 @@
 pub mod connectivity;
 pub mod dot;
 mod edge;
-pub mod hasher;
 mod noderef;
 mod overlay;
 

@@ -220,22 +220,24 @@ impl<P: SyncProtocol> Engine<P> {
         let prev = self.states.clone();
         let mut msgs = self.step_all(&prev, active);
 
-        // Canonical delivery order: by (target, message). Ties carry equal
-        // messages, so unstable sorting cannot perturb outcomes; this makes
-        // delivery independent of which thread produced a message.
-        msgs.sort_unstable();
-
-        let mut delivered = 0usize;
-        let mut dropped = 0usize;
-        for (to, msg) in &msgs {
-            match self.ids.binary_search(to) {
-                Ok(i) => {
-                    self.protocol.deliver(*to, &mut self.states[i], msg);
-                    delivered += 1;
-                }
-                Err(_) => dropped += 1,
+        // Canonical delivery order: by (target, message), which makes
+        // delivery independent of which thread produced a message. The id
+        // column is sorted, so bucketing messages by target index and then
+        // sorting each bucket by message yields exactly the order a global
+        // sort of `(target, message)` gives, and delivery needs no lookup
+        // per message. Ties carry equal messages, so unstable sorting
+        // cannot perturb outcomes. Messages to absent peers land in the
+        // last bucket and are dropped unsorted.
+        let bounds = bucket_by_target(&self.ids, &mut msgs);
+        for (i, w) in bounds.windows(2).enumerate().take(self.ids.len()) {
+            let bucket = &mut msgs[w[0]..w[1]];
+            bucket.sort_unstable_by(|a, b| a.1.cmp(&b.1));
+            for (to, msg) in bucket.iter() {
+                self.protocol.deliver(*to, &mut self.states[i], msg);
             }
         }
+        let delivered = bounds[self.ids.len()];
+        let dropped = msgs.len() - delivered;
 
         self.round += 1;
         (prev, delivered, dropped)
@@ -337,6 +339,44 @@ impl<P: SyncProtocol> Engine<P> {
         });
         buffers.into_iter().flatten().collect()
     }
+}
+
+/// Permutes `msgs` in place into buckets by the index of their target in
+/// the sorted `ids` column, in ascending index order, with messages to
+/// targets absent from `ids` last. Returns the `ids.len() + 2` bucket
+/// boundaries: bucket `b` is `msgs[bounds[b]..bounds[b + 1]]`, and bucket
+/// `ids.len()` holds the absent targets. Order within a bucket is
+/// unspecified.
+///
+/// The permutation follows cycles (one American-flag pass), so it needs
+/// neither a second message buffer nor a per-message side array: a
+/// message's bucket is recomputed by binary search each time it is looked
+/// at, at most twice per message in total (once to count, once to place).
+fn bucket_by_target<M>(ids: &[Ident], msgs: &mut [(Ident, M)]) -> Vec<usize> {
+    let n = ids.len();
+    let bucket = |to: &Ident| ids.binary_search(to).unwrap_or(n);
+    let mut bounds = vec![0usize; n + 2];
+    for (to, _) in msgs.iter() {
+        bounds[bucket(to) + 1] += 1;
+    }
+    for b in 1..bounds.len() {
+        bounds[b] += bounds[b - 1];
+    }
+    // Next unfilled slot per bucket. Buckets fill in ascending order; once
+    // every known bucket is full, the absent-target bucket is full too.
+    let mut fill = bounds[..=n].to_vec();
+    for b in 0..n {
+        while fill[b] < bounds[b + 1] {
+            let t = bucket(&msgs[fill[b]].0);
+            if t != b {
+                // Buckets below `b` are already full, so `t > b`: the swap
+                // settles this message and brings in one still unplaced.
+                msgs.swap(fill[b], fill[t]);
+            }
+            fill[t] += 1;
+        }
+    }
+    bounds
 }
 
 #[cfg(test)]
@@ -549,5 +589,146 @@ mod tests {
         for (_, st) in e.iter() {
             assert!(st.contains(&100), "everyone learns the global minimum");
         }
+    }
+
+    /// Sends a fixed script of `(from, to, msg)` messages every round and
+    /// logs each delivery as `(to, msg)`, in the order the engine makes it.
+    struct Recorder {
+        script: Vec<(Ident, Ident, u8)>,
+        log: std::sync::Mutex<Vec<(Ident, u8)>>,
+    }
+
+    impl SyncProtocol for Recorder {
+        type State = ();
+        type Msg = u8;
+
+        fn step(&self, me: Ident, _: &mut (), _: &RoundView<'_, ()>, out: &mut Outbox<u8>) {
+            for &(from, to, msg) in &self.script {
+                if from == me {
+                    out.send(to, msg);
+                }
+            }
+        }
+
+        fn deliver(&self, me: Ident, _: &mut (), msg: &u8) {
+            self.log.lock().expect("log lock").push((me, *msg));
+        }
+    }
+
+    /// A small deterministic generator, so the script needs no rng crate.
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// One round of a [`Recorder`] script, beside its reference.
+    struct Recorded {
+        /// Deliveries in the order the engine made them.
+        log: Vec<(Ident, u8)>,
+        out: RoundOutcome,
+        /// A global `sort_unstable` of every `(to, msg)` sent, minus the
+        /// messages to absent peers.
+        reference: Vec<(Ident, u8)>,
+        /// Messages sent to absent peers.
+        dropped: usize,
+    }
+
+    /// Runs one round of `script` over `peers` at `threads`.
+    fn record_round(peers: &[Ident], script: Vec<(Ident, Ident, u8)>, threads: usize) -> Recorded {
+        let mut reference: Vec<(Ident, u8)> = script
+            .iter()
+            .filter(|(from, ..)| peers.contains(from))
+            .map(|&(_, to, msg)| (to, msg))
+            .collect();
+        reference.sort_unstable();
+        let sent = reference.len();
+        reference.retain(|(to, _)| peers.contains(to));
+        let dropped = sent - reference.len();
+        let mut e = Engine::new(Recorder { script, log: Default::default() }, threads);
+        for &p in peers {
+            e.insert_node(p, ());
+        }
+        let out = e.round();
+        let log = std::mem::take(&mut *e.protocol().log.lock().expect("log lock"));
+        Recorded { log, out, reference, dropped }
+    }
+
+    #[test]
+    fn delivery_order_matches_a_global_sort() {
+        // Ids spread over the whole ring, as hashed identifiers are.
+        let mut x = 7u64;
+        let mut peers: Vec<Ident> = (0..24).map(|_| Ident::from_raw(splitmix(&mut x))).collect();
+        peers.sort_unstable();
+        // Targets: present peers and absent ones, some right next to a
+        // present id; only every other present peer is ever targeted, so
+        // empty buckets sit between full ones. Messages come from a small
+        // alphabet, so many (to, msg) pairs repeat.
+        let absent: Vec<Ident> =
+            [1, peers[3].raw() + 1, peers[10].raw() - 1, u64::MAX].map(Ident::from_raw).to_vec();
+        assert!(absent.iter().all(|a| !peers.contains(a)));
+        for threads in [1, 4] {
+            for len in [0usize, 1, 7, 300] {
+                let script: Vec<(Ident, Ident, u8)> = (0..len)
+                    .map(|_| {
+                        let r = splitmix(&mut x);
+                        let from = peers[(r % 24) as usize];
+                        let to = if (r >> 8).is_multiple_of(5) {
+                            absent[((r >> 16) % 4) as usize]
+                        } else {
+                            peers[((r >> 16) % 12 * 2) as usize]
+                        };
+                        (from, to, ((r >> 32) % 6) as u8)
+                    })
+                    .collect();
+                let Recorded { log, out, reference, dropped } =
+                    record_round(&peers, script, threads);
+                assert_eq!(log, reference, "threads {threads}, {len} messages");
+                assert_eq!(out.delivered, reference.len());
+                assert_eq!(out.dropped, dropped);
+                if len == 300 {
+                    assert!(dropped > 0, "the script reaches absent peers");
+                    assert!(log.windows(2).any(|w| w[0] == w[1]), "the script repeats messages");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_message_to_an_absent_peer_is_dropped() {
+        let peers = [Ident::from_raw(10), Ident::from_raw(20)];
+        let script = vec![
+            (peers[0], Ident::from_raw(5), 1),
+            (peers[1], Ident::from_raw(15), 2),
+            (peers[1], Ident::from_raw(25), 3),
+            (peers[0], Ident::from_raw(25), 3),
+        ];
+        for threads in [1, 4] {
+            let r = record_round(&peers, script.clone(), threads);
+            assert!(r.log.is_empty());
+            assert_eq!((r.out.delivered, r.out.dropped), (0, 4));
+        }
+    }
+
+    #[test]
+    fn buckets_follow_the_id_column() {
+        let ids: Vec<Ident> = [10u64, 20, 30].map(Ident::from_raw).to_vec();
+        let mut msgs: Vec<(Ident, u8)> = [(30, 0), (5, 1), (10, 2), (30, 3), (99, 4), (10, 5)]
+            .map(|(to, m)| (Ident::from_raw(to), m))
+            .to_vec();
+        let bounds = bucket_by_target(&ids, &mut msgs);
+        assert_eq!(bounds, vec![0, 2, 2, 4, 6], "20's bucket is empty");
+        let bucket = |b: usize| {
+            let mut v: Vec<u8> = msgs[bounds[b]..bounds[b + 1]].iter().map(|m| m.1).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(bucket(0), vec![2, 5]);
+        assert_eq!(bucket(2), vec![0, 3]);
+        assert_eq!(bucket(3), vec![1, 4], "absent targets come last");
+        // No peers at all: everything is in the absent bucket.
+        assert_eq!(bucket_by_target(&[], &mut msgs), vec![0, 6]);
     }
 }

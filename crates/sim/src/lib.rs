@@ -13,9 +13,10 @@
 //! That structure is embarrassingly parallel inside a round: the engine
 //! snapshots all node states, evaluates every node's step against the
 //! snapshot on a scoped thread pool (each node mutates only its own state),
-//! then merges the emitted messages **deterministically** (stable sort by
-//! target and message order) and applies them. Results are bit-identical for
-//! any thread count — asserted by property tests.
+//! then merges the emitted messages **deterministically** (bucketed by
+//! target in identifier order, sorted by message within each target) and
+//! applies them. Results are bit-identical for any thread count — asserted
+//! by property tests.
 //!
 //! A *legal / stable* state (the paper's self-stabilization target) is a
 //! fixpoint of `F`; [`Engine::run_until_fixpoint`] detects it by comparing

@@ -180,6 +180,14 @@ pub struct SimReport {
     pub final_peers: usize,
     /// Acknowledged keys with no surviving copy anywhere (every replica
     /// crashed before a repair could run).
+    ///
+    /// Computed in O(peers) as acked keys minus
+    /// [`PlacementMap::key_count`]. This rests on the invariant that every
+    /// stored key was acked: records are created only by a put, which acks
+    /// its key in the same completion, and by [`TrafficSim::preload`],
+    /// which acks every key it loads; a record whose last holder crashes
+    /// is removed, never left without holders. Debug builds cross-check
+    /// the count against a `contains` scan of every acked key.
     pub lost_keys: usize,
     /// Suspicions the failure detector raised (false positives plus
     /// heartbeat-stalling attacks; 0 under the legacy accurate detector).
@@ -403,11 +411,18 @@ impl TrafficSim {
             }
         }
         debug_assert!(self.data.is_empty(), "data plane drained at exit");
+        // Every stored key was acked (see `SimReport::lost_keys`), so the
+        // acked keys missing from the placement are exactly the difference.
         let lost_keys = self
             .acked
-            .iter()
-            .filter(|&&key| !self.placement.contains(self.space.key_position(key), key))
-            .count();
+            .len()
+            .checked_sub(self.placement.key_count())
+            .expect("placement stores only acked keys");
+        debug_assert_eq!(
+            lost_keys,
+            self.scan_lost_keys().count(),
+            "lost-key count disagrees with a scan of the acked keys"
+        );
         SimReport {
             summary: self.sink.summary(),
             sink: self.sink,
@@ -419,6 +434,14 @@ impl TrafficSim {
             events: self.events_done,
             placement_digest: self.placement.digest(),
         }
+    }
+
+    /// Acked keys with no copy left anywhere, found by probing each one:
+    /// the reference the O(peers) [`SimReport::lost_keys`] count is
+    /// checked against.
+    fn scan_lost_keys(&self) -> impl Iterator<Item = u64> + '_ {
+        let stored = |key: u64| self.placement.contains(self.space.key_position(key), key);
+        self.acked.iter().copied().filter(move |&key| !stored(key))
     }
 
     // ---- the sharded data plane -------------------------------------------
@@ -1475,6 +1498,79 @@ mod tests {
         let mut cfg = steady_cfg(seed);
         cfg.adversary = AdversaryConfig { fraction, crimes, ..Default::default() };
         cfg
+    }
+
+    /// A preloaded simulator with no foreground traffic: only what a test
+    /// stages by hand touches the data plane.
+    fn quiet_sim(seed: u64) -> TrafficSim {
+        let mut cfg = steady_cfg(seed);
+        cfg.traffic.key_universe = 512;
+        (cfg.traffic_start, cfg.traffic_end) = (1, 0);
+        let mut sim = TrafficSim::new(cfg, stable_net(16, seed), &TimedChurnPlan::default());
+        sim.preload();
+        sim
+    }
+
+    /// Crashes the primary of the most loaded arc and its successor — both
+    /// replicas of that arc's keys at replication 2 — as a churn crash
+    /// does, and returns the keys that died with them.
+    fn crash_busiest_replica_pair(sim: &mut TrafficSim) -> Vec<u64> {
+        let peers = sim.placement.peers().to_vec();
+        let primary = |k: u64| sim.placement.primary_for(sim.space.key_position(k));
+        let busiest = (0..peers.len())
+            .max_by_key(|&i| sim.acked.iter().filter(|&&k| primary(k) == Some(peers[i])).count())
+            .expect("peers");
+        for victim in [peers[busiest], peers[(busiest + 1) % peers.len()]] {
+            sim.placement.apply_leave(victim, Departure::Crash);
+            sim.service.forget(victim);
+            sim.table.remove_peer(victim);
+            assert!(sim.net.crash(victim));
+        }
+        sim.scan_lost_keys().collect()
+    }
+
+    #[test]
+    fn lost_key_count_matches_a_contains_scan() {
+        let mut sim = quiet_sim(43);
+        let lost = crash_busiest_replica_pair(&mut sim);
+        assert!(!lost.is_empty(), "crashing both replicas of an arc loses its keys");
+        let report = sim.run();
+        assert!(report.stable_at_end);
+        // Nothing after the crash creates or destroys records: the scan
+        // taken then still holds at the end of the run.
+        assert_eq!(report.lost_keys, lost.len());
+    }
+
+    #[test]
+    fn a_lost_key_put_again_is_no_longer_lost() {
+        let mut sim = quiet_sim(47);
+        let lost = crash_busiest_replica_pair(&mut sim);
+        assert!(lost.len() >= 2, "{lost:?}");
+        // Re-stabilize, so routing knows the survivors, then put the first
+        // lost key through its new primary.
+        for _ in 0..1_000 {
+            if sim.was_stable {
+                break;
+            }
+            sim.on_round();
+        }
+        assert!(sim.was_stable);
+        let key = lost[0];
+        let pos = sim.space.key_position(key);
+        let via = sim.placement.primary_for(pos).expect("peers");
+        let req = Request { id: 902, op: Op::Put, key, issued_at: 0 };
+        let f = InFlight { req, peer: via, cursor: via, hops: 0, retries: 0 };
+        sim.data.push_for(via.raw(), 0, req.id, Wire::Hop(f));
+        sim.run_data_batch(10_000);
+        assert!(sim.data.is_empty());
+        assert_eq!(
+            sim.sink.outcomes().last().map(|o| (o.id, o.kind)),
+            Some((902, OutcomeKind::Success))
+        );
+        assert!(sim.placement.contains(pos, key));
+        assert_eq!(sim.scan_lost_keys().collect::<Vec<_>>(), lost[1..]);
+        let report = sim.run();
+        assert_eq!(report.lost_keys, lost.len() - 1);
     }
 
     #[test]
